@@ -1,13 +1,14 @@
 //! The pluggable compute engines behind the serving runtime.
 //!
 //! A [`GemvBackend`] computes the paper's `o = aᵀV` product for one fixed
-//! matrix `V`. Four implementations cover the repo's functional layers:
+//! matrix `V`, through one primitive: [`GemvBackend::run_rows`] fills a
+//! range of output rows from a flat [`FrameBlock`] in place. Four
+//! implementations cover the repo's functional layers:
 //!
 //! * [`DenseRef`] — the dense reference kernel ([`smm_core::gemv::vecmat`]);
 //! * [`SparseCsr`] — the executed CSR SpMV kernel ([`smm_sparse::Csr`]);
-//! * [`BitSerial`] — the compiled spatial circuit, driven in framed
-//!   back-to-back streaming mode so a whole batch pipelines through one
-//!   continuous cycle-accurate simulation;
+//! * [`BitSerial`] — the compiled spatial circuit, simulated gate by gate
+//!   with up to 64 frames bit-sliced into machine words;
 //! * [`SigmaEngine`] — the SIGMA accelerator baseline executed through
 //!   its PE-grid tile mapping ([`smm_sigma::map_tiles`]), weight-stationary
 //!   across a batch.
@@ -21,7 +22,7 @@
 use smm_bitserial::multiplier::FixedMatrixMultiplier;
 use smm_core::block::{FrameBlock, RowBlock};
 use smm_core::error::{Error, Result};
-use smm_core::gemv::{vecmat, vecmat_into};
+use smm_core::gemv::vecmat_into;
 use smm_core::matrix::IntMatrix;
 use smm_sigma::{accumulate_tile, map_tiles, SigmaConfig, Tile};
 use smm_sparse::Csr;
@@ -67,64 +68,30 @@ pub trait GemvBackend: Send + Sync {
     /// Matrix columns — the produced output-vector length.
     fn cols(&self) -> usize;
 
-    /// Computes one product `o = aᵀV`.
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>>;
-
-    /// Computes a batch of products, one output row per input vector, in
-    /// input order. The default maps [`GemvBackend::gemv`] over the batch;
-    /// engines with a cheaper batched mode override it.
-    fn gemv_batch(&self, batch: &[Vec<i32>]) -> Result<Vec<Vec<i64>>> {
-        batch.iter().map(|a| self.gemv(a)).collect()
-    }
-
-    /// Streams `frames` into a caller-owned output buffer, reusing its
-    /// row allocations across calls (`out` is resized to `frames.len()`).
-    /// The default computes frame-by-frame; the bit-serial engine
-    /// overrides it to pipeline the whole stream through one continuous
-    /// simulation ([`FixedMatrixMultiplier::run_frames`]).
-    fn stream_into(&self, frames: &[Vec<i32>], out: &mut Vec<Vec<i64>>) -> Result<()> {
-        out.truncate(frames.len());
-        out.resize_with(frames.len(), Vec::new);
-        for (frame, slot) in frames.iter().zip(out.iter_mut()) {
-            let row = self.gemv(frame)?;
-            slot.clear();
-            slot.extend_from_slice(&row);
-        }
-        Ok(())
-    }
-
     /// Computes frames `start..end` of a flat [`FrameBlock`] into a
     /// row-major output slice of `(end - start) * cols()` elements — the
-    /// shard hook the [`crate::Dispatcher`] drives, and the kernel behind
-    /// [`GemvBackend::run_block`].
+    /// engine's one compute primitive. The [`crate::Dispatcher`] drives
+    /// it per shard, and [`GemvBackend::gemv`] and
+    /// [`GemvBackend::run_block`] are derived from it.
     ///
-    /// The default bridges to [`GemvBackend::gemv`] per frame (one
-    /// allocation per row); all four built-in engines override it to
-    /// write rows in place with no per-row allocation. Implementations
-    /// must validate the shard (see the built-ins) rather than panic on a
-    /// mis-sized `out`.
+    /// Implementations write rows in place and must validate the shard
+    /// range, `out`'s length and the frame width rather than panic on a
+    /// mis-sized call.
     fn run_rows(
         &self,
         frames: &FrameBlock,
         start: usize,
         end: usize,
         out: &mut [i64],
-    ) -> Result<()> {
-        let cols = self.cols();
-        check_shard(frames, start, end, cols, out.len())?;
-        for (i, frame) in (start..end).enumerate() {
-            let row = self.gemv(frames.frame(frame))?;
-            if row.len() != cols {
-                return Err(Error::Runtime {
-                    context: format!(
-                        "backend returned {} elements for a {cols}-column row",
-                        row.len()
-                    ),
-                });
-            }
-            out[i * cols..(i + 1) * cols].copy_from_slice(&row);
-        }
-        Ok(())
+    ) -> Result<()>;
+
+    /// Computes one product `o = aᵀV`: `a` as a one-frame block through
+    /// [`GemvBackend::run_rows`].
+    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
+        let frames = FrameBlock::from_vec(1, a.len(), a.to_vec())?;
+        let mut out = vec![0; self.cols()];
+        self.run_rows(&frames, 0, 1, &mut out)?;
+        Ok(out)
     }
 
     /// Computes a whole [`FrameBlock`] into a caller-owned [`RowBlock`],
@@ -182,10 +149,6 @@ impl GemvBackend for DenseRef {
 
     fn cols(&self) -> usize {
         self.matrix.cols()
-    }
-
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
-        vecmat(a, &self.matrix)
     }
 
     /// Writes each product row in place via [`vecmat_into`] — no
@@ -255,10 +218,6 @@ impl GemvBackend for SparseCsr {
         self.csr.cols()
     }
 
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
-        self.csr.vecmat(a)
-    }
-
     /// Writes each product row in place via [`Csr::vecmat_into`] — no
     /// allocation per row or per shard.
     fn run_rows(
@@ -278,12 +237,12 @@ impl GemvBackend for SparseCsr {
     }
 }
 
-/// The compiled bit-serial spatial circuit, simulated cycle-accurately.
+/// The compiled bit-serial spatial circuit, simulated gate by gate.
 ///
-/// Batches stream through the circuit back-to-back (one new vector every
-/// [`FixedMatrixMultiplier::batch_interval_cycles`] cycles) in a single
-/// continuous simulation — the hardware's batching mode — via the
-/// buffer-reusing [`FixedMatrixMultiplier::run_frames`] drive path.
+/// Shards run through the word-level bit-sliced simulator
+/// ([`FixedMatrixMultiplier::run_frames_block`]). The hardware's framed
+/// back-to-back batching mode ([`FixedMatrixMultiplier::run_frames`])
+/// computes the same bits and stays in `smm-bitserial` as its reference.
 #[derive(Debug, Clone)]
 pub struct BitSerial {
     mul: Arc<FixedMatrixMultiplier>,
@@ -337,31 +296,6 @@ impl GemvBackend for BitSerial {
         self.mul.cols()
     }
 
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
-        self.mul.mul(a)
-    }
-
-    /// One continuous framed simulation for the whole shard: compared to
-    /// per-vector [`FixedMatrixMultiplier::mul`] calls this pays the
-    /// simulator construction and pipeline fill once per batch and skips
-    /// the per-vector bit-capture buffers. The returned rows themselves
-    /// are necessarily freshly allocated — ownership transfers to the
-    /// caller; serving loops that want full steady-state buffer reuse
-    /// should call [`FixedMatrixMultiplier::run_frames`] directly with a
-    /// long-lived output buffer.
-    fn gemv_batch(&self, batch: &[Vec<i32>]) -> Result<Vec<Vec<i64>>> {
-        let mut out = Vec::new();
-        self.mul.run_frames(batch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Full steady-state buffer reuse: the frames pipeline back-to-back
-    /// through one continuous simulation and land in the caller's
-    /// long-lived buffer.
-    fn stream_into(&self, frames: &[Vec<i32>], out: &mut Vec<Vec<i64>>) -> Result<()> {
-        self.mul.run_frames(frames, out)
-    }
-
     /// The whole shard runs through the word-level bit-sliced engine
     /// ([`FixedMatrixMultiplier::run_frames_block`]): up to 64 frames
     /// packed one-per-bit into machine words, one gate evaluation
@@ -385,11 +319,10 @@ impl GemvBackend for BitSerial {
 /// the dataflow [`smm_sigma::Sigma`] prices. Bit-identical to the dense
 /// reference (pure integer math through the reduction network).
 ///
-/// Batch entry points ([`GemvBackend::run_rows`],
-/// [`GemvBackend::stream_into`], [`GemvBackend::gemv_batch`]) iterate
-/// tiles in the outer loop so each tile's weights stay stationary while
-/// the whole batch streams by — the accelerator's SpMM mode, and one
-/// tile-map traversal per batch instead of one per vector.
+/// [`GemvBackend::run_rows`] iterates tiles in the outer loop so each
+/// tile's weights stay stationary while the whole shard streams by —
+/// the accelerator's SpMM mode, and one tile-map traversal per shard
+/// instead of one per vector.
 #[derive(Debug, Clone)]
 pub struct SigmaEngine {
     tiles: Vec<Tile>,
@@ -454,15 +387,6 @@ impl GemvBackend for SigmaEngine {
         self.cols
     }
 
-    fn gemv(&self, a: &[i32]) -> Result<Vec<i64>> {
-        self.check_width(a.len())?;
-        let mut out = vec![0i64; self.cols];
-        for tile in &self.tiles {
-            accumulate_tile(tile, a, &mut out);
-        }
-        Ok(out)
-    }
-
     /// Weight-stationary over the shard: tiles outer, frames inner, rows
     /// accumulated in place — one tile-map traversal for the whole shard
     /// and no per-row allocation.
@@ -489,41 +413,13 @@ impl GemvBackend for SigmaEngine {
         }
         Ok(())
     }
-
-    /// Weight-stationary batching via [`GemvBackend::stream_into`] — the
-    /// tile map is traversed once for the whole batch.
-    fn gemv_batch(&self, batch: &[Vec<i32>]) -> Result<Vec<Vec<i64>>> {
-        let mut out = Vec::new();
-        self.stream_into(batch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Streams frames through the resident tile map into the caller's
-    /// long-lived buffer, reusing its row allocations; tiles stay
-    /// stationary across the whole stream.
-    fn stream_into(&self, frames: &[Vec<i32>], out: &mut Vec<Vec<i64>>) -> Result<()> {
-        for frame in frames {
-            self.check_width(frame.len())?;
-        }
-        out.truncate(frames.len());
-        out.resize_with(frames.len(), Vec::new);
-        for slot in out.iter_mut() {
-            slot.clear();
-            slot.resize(self.cols, 0);
-        }
-        for tile in &self.tiles {
-            for (frame, slot) in frames.iter().zip(out.iter_mut()) {
-                accumulate_tile(tile, frame, slot);
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use smm_bitserial::multiplier::WeightEncoding;
+    use smm_core::gemv::vecmat;
     use smm_core::generate::{element_sparse_matrix, random_vector};
     use smm_core::rng::seeded;
 
@@ -558,9 +454,13 @@ mod tests {
             .map(|_| random_vector(12, 8, true, &mut rng).unwrap())
             .collect();
         let expect: Vec<Vec<i64>> = batch.iter().map(|a| vecmat(a, &v).unwrap()).collect();
+        let frames = FrameBlock::try_from(batch.as_slice()).unwrap();
+        let mut out = RowBlock::new();
         for b in backends(&v) {
-            assert_eq!(b.gemv_batch(&batch).unwrap(), expect, "{}", b.name());
-            assert!(b.gemv_batch(&[]).unwrap().is_empty(), "{}", b.name());
+            b.run_block(&frames, &mut out).unwrap();
+            assert_eq!(Vec::<Vec<i64>>::from(&out), expect, "{}", b.name());
+            b.run_block(&FrameBlock::default(), &mut out).unwrap();
+            assert!(out.is_empty(), "{}", b.name());
         }
     }
 
@@ -570,7 +470,7 @@ mod tests {
         let v = element_sparse_matrix(6, 6, 8, 0.5, true, &mut rng).unwrap();
         for b in backends(&v) {
             assert!(b.gemv(&[1, 2, 3]).is_err(), "{}", b.name());
-            assert!(b.gemv_batch(&[vec![0; 6], vec![1, 2]]).is_err(), "{}", b.name());
+            assert!(b.gemv(&[0; 7]).is_err(), "{}", b.name());
         }
     }
 
@@ -613,29 +513,5 @@ mod tests {
             let mut out = RowBlock::new();
             assert!(b.run_block(&thin, &mut out).is_err(), "{name}");
         }
-    }
-
-    #[test]
-    fn default_run_rows_holds_gemv_to_the_row_length_contract() {
-        /// A broken backend whose rows are one element short.
-        struct ShortRow;
-        impl GemvBackend for ShortRow {
-            fn name(&self) -> &'static str {
-                "short-row"
-            }
-            fn rows(&self) -> usize {
-                2
-            }
-            fn cols(&self) -> usize {
-                2
-            }
-            fn gemv(&self, _a: &[i32]) -> Result<Vec<i64>> {
-                Ok(vec![0])
-            }
-        }
-        let frames = FrameBlock::from_rows(&[vec![0, 0]]).unwrap();
-        let mut out = RowBlock::new();
-        let err = ShortRow.run_block(&frames, &mut out).unwrap_err();
-        assert!(matches!(err, Error::Runtime { .. }), "{err:?}");
     }
 }

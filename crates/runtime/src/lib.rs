@@ -15,13 +15,15 @@
 //!   backend choice scored from the matrix itself ([`plan`]);
 //! * [`Session`] — the resolved engine + [`MultiplierCache`] +
 //!   [`Dispatcher`] behind one submission surface ([`session`]);
-//! * [`GemvBackend`] — the engine trait with the four built-ins:
-//!   [`DenseRef`], [`SparseCsr`], [`BitSerial`], and [`SigmaEngine`]
-//!   ([`backend`]);
+//! * [`GemvBackend`] — the engine trait, whose one compute primitive is
+//!   [`GemvBackend::run_rows`], with the four built-ins: [`DenseRef`],
+//!   [`SparseCsr`], [`BitSerial`], and [`SigmaEngine`] ([`backend`]);
 //! * [`MultiplierCache`] — content-digest-keyed compile memoization with
 //!   an optional LRU bound ([`cache`]);
-//! * [`Dispatcher`] — the sharding, order-preserving worker pool
-//!   ([`dispatch`]).
+//! * [`Dispatcher`] — the sharding, order-preserving batch executor
+//!   over the process's one worker pool ([`dispatch`]). A session starts
+//!   no thread: the caller computes a batch's first shard itself, and a
+//!   one-shard batch never leaves the calling thread.
 //!
 //! Sessions and dispatchers optionally carry a [`SpanRecorder`] (from
 //! `smm-telemetry`, re-exported here) so every served batch stamps its

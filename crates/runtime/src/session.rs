@@ -4,29 +4,26 @@
 //! through — the CLI's `throughput`/`serve`/`loadgen`, the TCP server's
 //! per-matrix state, the examples, and the tests. It owns the resolved
 //! engine (built through an [`EngineRegistry`]), the shared
-//! [`MultiplierCache`], and a [`Dispatcher`] worker pool, and exposes one
-//! submission surface:
+//! [`MultiplierCache`], and a [`Dispatcher`] (a shard cap over the
+//! process's one worker pool; a session starts no thread), and exposes
+//! one submission surface:
 //!
 //! * [`Session::run`] — one product `o = aᵀV`, computed directly on the
 //!   engine (no dispatcher round trip: a single vector should not pay
 //!   batch overhead);
 //! * [`Session::run_block`] — the hot batch path: a flat
-//!   [`FrameBlock`] sharded across the pool into a caller-owned
-//!   [`RowBlock`], with per-batch timing and no per-row allocation;
+//!   [`FrameBlock`] sharded into a caller-owned [`RowBlock`], with
+//!   per-batch timing and no per-row allocation;
 //! * [`Session::run_batch`] — the nested `Vec<Vec<_>>` surface, kept as
 //!   a thin bridge over the block path;
-//! * [`Session::stream`] — framed streaming into a caller-owned buffer
-//!   (the bit-serial engine pipelines the frames back-to-back through one
-//!   continuous simulation via
-//!   [`FixedMatrixMultiplier::run_frames`](smm_bitserial::multiplier::FixedMatrixMultiplier::run_frames));
 //! * [`Session::stats`] — cache, dispatcher, and fast-path counters in
 //!   one struct.
 //!
 //! Rule of thumb: `run` for one vector, `run_block` for batches on the
 //! hot path (hold the blocks, reuse them), `run_batch` when the data
-//! already lives in nested `Vec`s and a copy is acceptable, `stream`
-//! when frames should pipeline through one continuous bit-serial
-//! simulation with per-row buffer reuse.
+//! already lives in nested `Vec`s and a copy is acceptable. A panicking
+//! engine fails the one call with [`Error::Runtime`](smm_core::error::Error::Runtime)
+//! on every surface.
 //!
 //! Construction is a builder ([`Session::builder`]): pick a
 //! [`PlanPolicy`] (default: auto-plan from the matrix itself), optionally
@@ -46,7 +43,9 @@
 
 use crate::backend::GemvBackend;
 use crate::cache::{CacheStats, MultiplierCache};
-use crate::dispatch::{BatchResult, BatchStats, Dispatcher, DispatcherConfig, DispatcherStats};
+use crate::dispatch::{
+    contain_panic, BatchResult, BatchStats, Dispatcher, DispatcherConfig, DispatcherStats,
+};
 use crate::plan::{EnginePlan, PlanPolicy, Planner};
 use crate::spec::{EngineRegistry, EngineSpec};
 use smm_core::block::{FrameBlock, RowBlock};
@@ -63,8 +62,8 @@ pub struct SessionStats {
     /// Compiled-multiplier cache counters (shared across sessions when
     /// the cache is).
     pub cache: CacheStats,
-    /// Served-work counters of this session's worker pool (batches only;
-    /// single-vector products never enter the pool).
+    /// Served-work counters of this session's dispatcher (batches only;
+    /// single-vector products never enter it).
     pub dispatcher: DispatcherStats,
     /// Single-vector products served on the [`Session::run`] fast path.
     pub singles: u64,
@@ -117,15 +116,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Plans, resolves, and spawns the session.
+    /// Plans and resolves the session. Starts no thread.
     pub fn build(self) -> Result<Session> {
         let cache = self.cache.unwrap_or_default();
         let plan = Planner::new(&self.registry).plan(&self.matrix, &self.policy, &cache)?;
         let engine = self.registry.build(&self.matrix, &plan.spec, &cache)?;
         let config = DispatcherConfig::new(plan.spec.threads);
         let dispatcher = match self.recorder.clone() {
-            Some(rec) => Dispatcher::with_recorder(Arc::clone(&engine), config, rec)?,
-            None => Dispatcher::new(Arc::clone(&engine), config)?,
+            Some(rec) => Dispatcher::with_recorder(engine, config, rec)?,
+            None => Dispatcher::new(engine, config)?,
         };
         Ok(Session {
             plan,
@@ -137,8 +136,8 @@ impl SessionBuilder {
     }
 }
 
-/// One matrix behind one planned engine and worker pool — the unified
-/// serving surface. See the [module docs](crate::session).
+/// One matrix behind one planned engine — the unified serving
+/// surface. See the [module docs](crate::session).
 ///
 /// The matrix itself is not retained: the engine holds whatever
 /// representation it needs (dense copy, CSR, compiled circuit), so a
@@ -214,35 +213,41 @@ impl Session {
         &self.cache
     }
 
-    /// Worker threads in the session's pool.
+    /// Most shards one batch splits into (the configured `threads`,
+    /// 0 resolved to the available parallelism).
     pub fn threads(&self) -> usize {
         self.dispatcher.threads()
     }
 
     /// Computes one product `o = aᵀV` directly on the engine — the
-    /// single-vector fast path. No `Arc`, no channel hop, no worker
-    /// wakeup: a lone vector (the server's single `Gemv` opcode) must
-    /// not pay batch-dispatch overhead. Counted in
-    /// [`SessionStats::singles`]; the dispatcher counters do not move.
+    /// single-vector fast path. No channel hop, no worker wakeup: a
+    /// lone vector (the server's single `Gemv` opcode) must not pay
+    /// batch-dispatch overhead. A panicking engine becomes
+    /// [`Error::Runtime`](smm_core::error::Error::Runtime), as on a
+    /// batch shard. Counted in [`SessionStats::singles`]; the dispatcher
+    /// counters do not move.
     pub fn run(&self, a: &[i32]) -> Result<Vec<i64>> {
+        let engine = self.engine().as_ref();
+        let gemv = || contain_panic(engine, "a single product", || engine.gemv(a));
         let out = match &self.recorder {
             // With telemetry attached the single pays one Instant pair
             // around the engine call — its whole compute is one stage.
             Some(rec) => {
                 let started = Instant::now();
-                let out = self.engine().gemv(a)?;
+                let out = gemv()?;
                 rec.record(Stage::Compute, started.elapsed());
                 out
             }
-            None => self.engine().gemv(a)?,
+            None => gemv()?,
         };
         self.singles.fetch_add(1, Ordering::Relaxed);
         Ok(out)
     }
 
-    /// Executes one flat batch, sharded by row ranges across the pool,
-    /// writing outputs in submission order into the caller-owned `out`
-    /// block (reshaped and reused across calls) — the serving hot path,
+    /// Executes one flat batch, sharded by row ranges (the caller runs
+    /// the first shard, the process's worker pool the rest), writing
+    /// outputs in submission order into the caller-owned `out` block
+    /// (reshaped and reused across calls) — the serving hot path,
     /// with no per-row allocation. Accepts a [`FrameBlock`] or an
     /// `Arc<FrameBlock>`; pass `Arc::clone(&frames)` to re-dispatch
     /// without copying request data.
@@ -260,14 +265,6 @@ impl Session {
     /// the output block back into rows. Prefer `run_block` on hot paths.
     pub fn run_batch(&self, batch: &[Vec<i32>]) -> Result<BatchResult> {
         self.dispatcher.dispatch(batch)
-    }
-
-    /// Streams `frames` through the engine into a caller-owned output
-    /// buffer, reusing its allocations across calls. On the bit-serial
-    /// engine the frames pipeline back-to-back through one continuous
-    /// cycle-accurate simulation; other engines compute frame-by-frame.
-    pub fn stream(&self, frames: &[Vec<i32>], out: &mut Vec<Vec<i64>>) -> Result<()> {
-        self.engine().stream_into(frames, out)
     }
 
     /// Cache, dispatcher, and fast-path counters in one struct.
@@ -291,12 +288,6 @@ impl Session {
     /// these.
     pub fn dispatcher_stats(&self) -> DispatcherStats {
         self.dispatcher.snapshot()
-    }
-
-    /// Graceful teardown: joins the worker pool. `Drop` does the same;
-    /// this makes a drain explicit.
-    pub fn shutdown(self) {
-        self.dispatcher.shutdown();
     }
 }
 
@@ -394,27 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_reuses_the_output_buffer() {
-        let v = sparse(2904, 10, 0.5);
-        let frames: Vec<Vec<i32>> = {
-            let mut rng = seeded(2905);
-            (0..6)
-                .map(|_| random_vector(10, 8, true, &mut rng).unwrap())
-                .collect()
-        };
-        let expect: Vec<Vec<i64>> = frames.iter().map(|a| vecmat(a, &v).unwrap()).collect();
-        for spec in [EngineSpec::dense(), EngineSpec::csr(), EngineSpec::bitserial()] {
-            let session = Session::with_spec(v.clone(), spec.clone()).unwrap();
-            let mut out = Vec::new();
-            session.stream(&frames, &mut out).unwrap();
-            assert_eq!(out, expect, "{spec}");
-            // Second pass into the same buffer: same result, no stale rows.
-            session.stream(&frames[..3], &mut out).unwrap();
-            assert_eq!(out, expect[..3], "{spec} (reused buffer)");
-        }
-    }
-
-    #[test]
     fn shared_cache_compiles_once_across_sessions() {
         let v = sparse(2906, 12, 0.8);
         let cache = Arc::new(MultiplierCache::new());
@@ -477,9 +447,7 @@ mod tests {
         let session = Session::auto(IntMatrix::identity(4).unwrap()).unwrap();
         assert!(session.run(&[1, 2]).is_err());
         assert!(session.run_batch(&[vec![1; 4], vec![1; 3]]).is_err());
-        let mut out = Vec::new();
-        assert!(session.stream(&[vec![1; 3]], &mut out).is_err());
-        // The pool survives the error.
+        // The session survives the error.
         assert_eq!(session.run(&[1, 2, 3, 4]).unwrap(), vec![1, 2, 3, 4]);
     }
 }

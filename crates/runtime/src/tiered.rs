@@ -3,9 +3,9 @@
 //! [`TieredRegistry`] replaces a flat `digest → Session` map with the
 //! three-tier residency model of `smm-store` (see [`Tier`]):
 //!
-//! * **hot** — a live [`Session`] (compiled engine + worker pool);
-//! * **warm** — the raw [`IntMatrix`] (+ CSR) resident in memory, the
-//!   engine rebuilt on demand through the shared multiplier cache;
+//! * **hot** — a live [`Session`] (compiled engine);
+//! * **warm** — the raw [`IntMatrix`] resident in memory, the engine
+//!   rebuilt on demand through the shared multiplier cache;
 //! * **cold** — checksummed artifact bytes in an attached [`Store`].
 //!
 //! Promotion happens on request ([`TieredRegistry::acquire`]): a warm
@@ -22,7 +22,6 @@
 //! counters and LRU clock of [`smm_store::TierPolicy`], mirroring the
 //! compiled-multiplier cache's eviction discipline.
 
-use crate::cache::MultiplierCache;
 use crate::session::Session;
 use smm_core::error::Result;
 use smm_core::matrix::IntMatrix;
@@ -83,7 +82,6 @@ pub struct FleetSnapshot {
 struct Entry {
     session: Option<Arc<Session>>,
     matrix: Option<IntMatrix>,
-    csr: Option<Csr>,
     on_disk: bool,
 }
 
@@ -155,7 +153,6 @@ impl TieredRegistry {
                         Entry {
                             session: None,
                             matrix: None,
-                            csr: None,
                             on_disk: true,
                         },
                     );
@@ -280,7 +277,6 @@ impl TieredRegistry {
         let entry = inner.entries.entry(digest).or_insert_with(|| Entry {
             session: None,
             matrix: None,
-            csr: None,
             on_disk: false,
         });
         if let Some(existing) = &entry.session {
@@ -361,7 +357,6 @@ impl TieredRegistry {
         let entry = inner.entries.entry(digest).or_insert_with(|| Entry {
             session: None,
             matrix: None,
-            csr: None,
             on_disk: false,
         });
         entry.session = Some(Arc::clone(&session));
@@ -432,21 +427,14 @@ impl TieredRegistry {
         let entry = inner.entries.get_mut(&digest)?;
         match entry.tier() {
             Tier::Hot => {
-                // Retire the pool's counters before dropping it so the
-                // fleet's served totals stay monotone across demotion.
+                // Retire the session's counters before dropping it so
+                // the fleet's served totals stay monotone across
+                // demotion. Dropping it joins no thread: sessions own
+                // none.
                 if let Some(session) = entry.session.take() {
                     let s = session.dispatcher_stats();
                     inner.retired_batches += s.batches;
                     inner.retired_vectors += s.vectors + session.singles();
-                }
-                // A hot entry retains its matrix by construction; if
-                // that invariant ever breaks, demote without a CSR (the
-                // warm tier rebuilds on promotion) instead of panicking
-                // under the registry lock.
-                if entry.csr.is_none() {
-                    if let Some(matrix) = entry.matrix.as_ref() {
-                        entry.csr = Some(Csr::from_dense(matrix));
-                    }
                 }
                 self.demotions.fetch_add(1, Ordering::Relaxed);
                 Some(Tier::Warm)
@@ -458,7 +446,6 @@ impl TieredRegistry {
                     return None;
                 }
                 entry.matrix = None;
-                entry.csr = None;
                 self.demotions.fetch_add(1, Ordering::Relaxed);
                 Some(Tier::Cold)
             }
@@ -510,9 +497,8 @@ impl TieredRegistry {
 
 /// Builds the [`CircuitMeta`] artifact describing what a session
 /// compiled for its matrix — the store's record of the engine choice.
-pub fn circuit_meta_for(session: &Session, matrix: &IntMatrix, cache: &MultiplierCache) -> CircuitMeta {
+pub fn circuit_meta_for(session: &Session, matrix: &IntMatrix) -> CircuitMeta {
     let plan = session.plan();
-    let _ = cache; // the compile itself is reproduced via the cache
     CircuitMeta {
         engine: session.engine().name().to_string(),
         input_bits: plan.spec.input_bits,

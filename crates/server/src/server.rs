@@ -3,8 +3,9 @@
 //!
 //! One OS thread per connection reads frames, decodes requests, and
 //! computes inline; each loaded matrix is served by a [`Session`]
-//! (planned engine + sharding worker pool). Compute requests must first
-//! clear a server-wide [`AdmissionQueue`] — a bounded concurrency budget.
+//! (planned engine + batch sharding over the process's one worker
+//! pool). Compute requests must first clear a server-wide
+//! [`AdmissionQueue`] — a bounded concurrency budget.
 //! When the budget is spent the server answers `Busy` *immediately*
 //! instead of buffering: under overload, callers get a clear backpressure
 //! signal within one round trip, and server memory stays flat.
@@ -44,15 +45,15 @@ pub struct ServerConfig {
     pub addr: String,
     /// Engine built for each loaded matrix.
     pub backend: BackendKind,
-    /// Dispatcher worker threads per loaded matrix (0 = all cores).
+    /// Most shards one batch splits into, per loaded matrix (0 = all
+    /// cores). Every matrix shares the process's one worker pool.
     pub threads: usize,
     /// Admission budget: compute requests allowed in flight at once
     /// before the server answers `Busy`. Minimum 1.
     pub queue_depth: usize,
     /// LRU capacity of the compiled-multiplier cache (0 = unbounded).
     pub cache_capacity: usize,
-    /// Hot-tier bound: sessions (compiled engine + worker pool)
-    /// resident at once. Pressure past the bound demotes the
+    /// Hot-tier bound: sessions (compiled engines) resident at once. Pressure past the bound demotes the
     /// least-recently-used session to the warm tier instead of
     /// refusing the load.
     pub max_matrices: usize,
@@ -152,9 +153,9 @@ impl Drop for AdmissionPermit<'_> {
 }
 
 /// State shared by the accept loop and every connection thread. Each
-/// loaded matrix is served by one [`Session`] (engine + worker pool,
+/// loaded matrix is served by one [`Session`] (engine + dispatcher,
 /// planned per the request's or the server's backend choice); every
-/// request — singles included — flows through its pool.
+/// request — singles included — flows through it.
 struct Shared {
     config: ServerConfig,
     /// The tiered matrix fleet: hot sessions, warm matrices, cold
@@ -329,7 +330,7 @@ impl Shared {
             Err(e) => return Reply::Error(format!("loading matrix: {e}")),
         }
         // Refuse *before* building: a rejected load must not burn a
-        // compile, grow the shared cache, or spin up a worker pool.
+        // compile or grow the shared cache.
         if let Some(resident) = self.registry.full_capacity() {
             return Reply::CapacityFull { loaded: resident };
         }
@@ -341,7 +342,7 @@ impl Shared {
             Ok(session) => session,
             Err(e) => return Reply::Error(format!("loading matrix: {e}")),
         };
-        let meta = circuit_meta_for(&session, &matrix, &self.cache);
+        let meta = circuit_meta_for(&session, &matrix);
         span.mark(Stage::Plan);
         match self.registry.insert(matrix, session, Some(meta)) {
             InsertOutcome::Installed(session) => loaded(&session, false),

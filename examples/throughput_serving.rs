@@ -77,7 +77,7 @@ fn main() {
             stats.batch,
             stats.elapsed.as_secs_f64() * 1e3,
             session.threads(),
-            stats.vectors_per_sec()
+            stats.batch as f64 / stats.elapsed.as_secs_f64()
         );
     }
 

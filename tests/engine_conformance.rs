@@ -4,7 +4,7 @@
 //! across densities and dimensions:
 //!
 //! ```text
-//! run == run_batch == run_block == stream == dense reference
+//! run == run_batch == run_block == dense reference
 //! ```
 //!
 //! bit for bit, through the same `Session` front door every entry point
@@ -73,7 +73,6 @@ proptest! {
 
         let cache = Arc::new(MultiplierCache::new());
         let mut out = RowBlock::new();
-        let mut streamed = Vec::new();
         for kind in registered_kinds() {
             let session = Session::builder(v.clone())
                 .spec(EngineSpec::new(kind.clone()).threads(threads))
@@ -95,9 +94,6 @@ proptest! {
             prop_assert_eq!(
                 &Vec::<Vec<i64>>::from(&out), &expect, "run_block, {}", &kind
             );
-            // stream: framed pipelining into a reused buffer.
-            session.stream(&batch, &mut streamed).unwrap();
-            prop_assert_eq!(&streamed, &expect, "stream, {}", &kind);
         }
         // One spatial compile, shared: only the bitserial kind touches
         // the cache.
@@ -128,11 +124,6 @@ proptest! {
             let mut out = RowBlock::new();
             let thin = FrameBlock::from_rows(std::slice::from_ref(&short)).unwrap();
             prop_assert!(session.run_block(thin, &mut out).is_err(), "run_block, {}", &kind);
-            let mut streamed = Vec::new();
-            prop_assert!(
-                session.stream(std::slice::from_ref(&short), &mut streamed).is_err(),
-                "stream, {}", &kind
-            );
             // The session survives and still serves a valid product.
             let a = random_vector(rows, 8, true, &mut rng).unwrap();
             prop_assert_eq!(
